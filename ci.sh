@@ -20,8 +20,10 @@ for arg in "$@"; do
     esac
 done
 
+# The trace goes to stderr: several steps redirect a command's stdout into a
+# file that a later step compares or replays.
 run() {
-    echo "==> $*"
+    echo "==> $*" >&2
     "$@"
 }
 
@@ -71,6 +73,17 @@ for key in '"rate":' '"delivery_ratio":' '"link_failures":'; do
 done
 WORMCAST_FAULTS_FILE="$TDIR/f1/faults.json" \
     run cargo test "${OFFLINE[@]}" -q -p wormcast --test faults_schema
+
+# Committed fault sweep: regenerate results/faults.json at full parameters
+# (~0.2 s) and demand it byte for byte. Every fault plan is drawn once per
+# channel in Mesh::channels() order, so a change to channel enumeration or
+# draw order fails here even if the quick sweep above stays self-consistent.
+echo "==> committed faults.json regenerates byte-identical"
+run ./target/release/faults --out "$TDIR/ffull"
+run cmp "$TDIR/ffull/faults.json" results/faults.json || {
+    echo "ci: results/faults.json no longer regenerates byte-identical" >&2
+    exit 1
+}
 
 # Saturation smoke: run the quick offered-vs-delivered sweep (DB/AB/QAB on
 # a 4x4x4 mesh) across job counts and shard geometries. The determinism

@@ -73,8 +73,15 @@ fn main() {
     prof.finish(&opts, &frames);
 }
 
+/// Print `msg` as a usage error and exit 2, before any simulation starts.
+fn reject(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// Parse the binary-specific flags (`--rates CSV`, `--side N`) out of the
-/// leftover arguments.
+/// leftover arguments. A rate outside [0, 1] and a side DB cannot plan on
+/// are usage errors (exit 2).
 fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -90,6 +97,11 @@ fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) {
                     !params.rates.is_empty(),
                     "--rates must list at least one rate"
                 );
+                if let Some(bad) = params.rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+                    reject(format!(
+                        "`--rates` entry must be a probability in [0, 1], got {bad}"
+                    ));
+                }
             }
             "--side" => {
                 params.side = it
@@ -97,6 +109,12 @@ fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) {
                     .expect("--side needs a mesh side length")
                     .parse()
                     .expect("--side must be an integer");
+                if params.side < 2 {
+                    reject(format!(
+                        "`--side` must be at least 2 (DB needs at least a 2x2 plane), got {}",
+                        params.side
+                    ));
+                }
             }
             other => panic!("unknown argument '{other}' (try --rates CSV or --side N)"),
         }

@@ -214,6 +214,64 @@ mod tests {
         assert!(!a.is_empty(), "rates this high fault something on 64 nodes");
     }
 
+    /// FNV-1a over every event's time, kind and channel, in plan order.
+    fn plan_digest(plan: &FaultPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in plan.events() {
+            let (tag, ch) = match e.kind {
+                FaultKind::LinkDown(c) => (0u64, c.0),
+                FaultKind::LinkUp(c) => (1u64, c.0),
+            };
+            for word in [e.at.as_ps(), tag, u64::from(ch)] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Plans pinned across commits, as (events, digest) per seed: a change
+    /// to which channels `Mesh::channels` yields, or in what order, shifts
+    /// every later draw and breaks a digest here rather than only showing
+    /// up as a diff in `results/faults.json`.
+    #[test]
+    fn sampled_plans_match_pinned_digests() {
+        let mixed = FaultSpec {
+            link_fail_rate: 0.05,
+            node_fail_rate: 0.1,
+            transient_rate: 0.2,
+            transient_window_us: 40.0,
+            outage_us: 10.0,
+        };
+        #[rustfmt::skip]
+        let cases = [
+            ([8u16, 8, 8], FaultSpec::fail_stop(0.05), [
+                (132, 0xb87a_388f_7297_ec0c), (151, 0xabf5_dd2d_c673_fad2),
+                (156, 0x6585_2124_a9fd_a169), (158, 0x3f9e_deff_1c85_f363),
+            ]),
+            ([5, 3, 2], mixed, [
+                (101, 0xc520_02ef_d6f9_f193), (91, 0xef50_6aed_4c7f_35a2),
+                (74, 0x0c7f_161f_fd46_e7a7), (74, 0x749b_f5ae_9fd2_13d1),
+            ]),
+            ([4, 1, 2], mixed, [
+                (13, 0xb2a2_7f9a_e896_57fe), (14, 0xcea1_edcf_587b_7cf1),
+                (12, 0x162b_7d05_b564_e99b), (12, 0x11f7_761e_e63f_0801),
+            ]),
+        ];
+        for (dims, spec, pins) in cases {
+            let mesh = Mesh::new(&dims);
+            for (seed, pin) in [1u64, 2, 3, 2005].into_iter().zip(pins) {
+                let plan = FaultPlan::sample(&mesh, &spec, &mut SimRng::new(seed));
+                assert_eq!(
+                    (plan.len(), plan_digest(&plan)),
+                    pin,
+                    "fault plan for {dims:?} seed {seed} moved"
+                );
+            }
+        }
+    }
+
     #[test]
     fn events_are_time_sorted_and_transients_recover() {
         let mesh = Mesh::cube(4);

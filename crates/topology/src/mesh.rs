@@ -10,6 +10,11 @@ use serde::{Deserialize, Serialize};
 /// 0 varying fastest. Channels are bidirectional links modelled as a pair of
 /// directed channels.
 ///
+/// Adjacency is stride arithmetic on the ids: node `n` sits at
+/// `(n / strides[d]) % dims[d]` along dimension `d`, and its neighbours
+/// along `d` are `n ± strides[d]` unless that position is on the boundary.
+/// Channel `n * 2·ndims + 2·d + (0 for +, 1 for −)` leaves `n` along `d`.
+///
 /// # Examples
 ///
 /// ```
@@ -93,6 +98,29 @@ impl Mesh {
             }
     }
 
+    /// The inverse of [`Mesh::dir_slot`].
+    #[inline]
+    fn slot_dir(slot: u32) -> (usize, Sign) {
+        let sign = if slot.is_multiple_of(2) {
+            Sign::Plus
+        } else {
+            Sign::Minus
+        };
+        ((slot / 2) as usize, sign)
+    }
+
+    /// The node one step from node `n` along `dim`, or `None` on the
+    /// boundary. `n` and `dim` must already be in range.
+    #[inline]
+    fn step(&self, n: u32, dim: usize, sign: Sign) -> Option<u32> {
+        let stride = self.strides[dim];
+        let pos = (n / stride) % u32::from(self.dims[dim]);
+        match sign {
+            Sign::Plus => (pos + 1 < u32::from(self.dims[dim])).then(|| n + stride),
+            Sign::Minus => (pos > 0).then(|| n - stride),
+        }
+    }
+
     /// The directed channel leaving `from` along `dim` in direction `sign`,
     /// if that neighbour exists.
     pub fn channel(&self, from: NodeId, dim: usize, sign: Sign) -> Option<ChannelId> {
@@ -105,15 +133,8 @@ impl Mesh {
     /// Decompose a channel id into (source node, dimension, sign).
     pub fn channel_parts(&self, ch: ChannelId) -> (NodeId, usize, Sign) {
         let per = self.chans_per_node();
-        let node = NodeId(ch.0 / per);
-        let slot = ch.0 % per;
-        let dim = (slot / 2) as usize;
-        let sign = if slot.is_multiple_of(2) {
-            Sign::Plus
-        } else {
-            Sign::Minus
-        };
-        (node, dim, sign)
+        let (dim, sign) = Self::slot_dir(ch.0 % per);
+        (NodeId(ch.0 / per), dim, sign)
     }
 
     /// Whether `ch` denotes a physically present link (edge nodes have id
@@ -123,7 +144,7 @@ impl Mesh {
             return false;
         }
         let (node, dim, sign) = self.channel_parts(ch);
-        self.neighbor(node, dim, sign).is_some()
+        self.step(node.0, dim, sign).is_some()
     }
 
     /// Iterate over all nodes in linear order.
@@ -131,11 +152,19 @@ impl Mesh {
         (0..self.num_nodes).map(NodeId)
     }
 
-    /// Iterate over all physically present directed channels.
+    /// Iterate over all physically present directed channels in ascending
+    /// id order. The order is part of the contract: fault sampling draws
+    /// once per channel in it, so reordering would change every sampled plan.
     pub fn channels(&self) -> impl Iterator<Item = ChannelId> + '_ {
-        (0..self.num_nodes * self.chans_per_node())
-            .map(ChannelId)
-            .filter(move |&c| self.channel_exists(c))
+        let per = self.chans_per_node();
+        (0..self.num_nodes).flat_map(move |n| {
+            (0..per)
+                .filter(move |&slot| {
+                    let (dim, sign) = Self::slot_dir(slot);
+                    self.step(n, dim, sign).is_some()
+                })
+                .map(move |slot| ChannelId(n * per + slot))
+        })
     }
 }
 
@@ -176,13 +205,8 @@ impl Topology for Mesh {
 
     fn neighbor(&self, n: NodeId, dim: usize, sign: Sign) -> Option<NodeId> {
         assert!(dim < self.dims.len(), "dim {dim} out of range");
-        let c = self.coord_of(n);
-        let pos = c.get(dim) as i32 + sign.delta();
-        if pos < 0 || pos >= self.dims[dim] as i32 {
-            None
-        } else {
-            Some(self.node_at(&c.with(dim, pos as u16)))
-        }
+        assert!(n.0 < self.num_nodes, "node {n} out of range");
+        self.step(n.0, dim, sign).map(NodeId)
     }
 
     fn num_channels(&self) -> usize {
@@ -190,14 +214,21 @@ impl Topology for Mesh {
     }
 
     fn channel_between(&self, from: NodeId, to: NodeId) -> Option<ChannelId> {
-        let cf = self.coord_of(from);
-        let ct = self.coord_of(to);
-        if cf.manhattan(&ct) != 1 {
-            return None;
-        }
-        for d in 0..self.ndims() {
-            if let Some(sign) = Sign::towards(cf.get(d), ct.get(d)) {
-                return self.channel(from, d, sign);
+        assert!(from.0 < self.num_nodes, "node {from} out of range");
+        assert!(to.0 < self.num_nodes, "node {to} out of range");
+        // Only a step of exactly one stride can reach `to`; a size-1 axis
+        // shares its stride with the next one but never steps, so at most
+        // one candidate survives the boundary check.
+        for (dim, &stride) in self.strides.iter().enumerate() {
+            let sign = if to.0.checked_sub(from.0) == Some(stride) {
+                Sign::Plus
+            } else if from.0.checked_sub(to.0) == Some(stride) {
+                Sign::Minus
+            } else {
+                continue;
+            };
+            if let Some(ch) = self.channel(from, dim, sign) {
+                return Some(ch);
             }
         }
         None
