@@ -85,6 +85,17 @@ run cmp "$TDIR/ffull/faults.json" results/faults.json || {
     exit 1
 }
 
+# Committed saturation lab: regenerate results/saturation.json at full
+# parameters (~8 s) and demand it byte for byte. The lab is the mixed-traffic
+# path past AB's knee, where same-instant events are densest, so a change to
+# the event list's (time, seq) tie order fails here.
+echo "==> committed saturation.json regenerates byte-identical"
+run ./target/release/saturation --out "$TDIR/satfull"
+run cmp "$TDIR/satfull/saturation.json" results/saturation.json || {
+    echo "ci: results/saturation.json no longer regenerates byte-identical" >&2
+    exit 1
+}
+
 # Saturation smoke: run the quick offered-vs-delivered sweep (DB/AB/QAB on
 # a 4x4x4 mesh) across job counts and shard geometries. The determinism
 # contract for the mixed steady-state sims is byte-level across --jobs AND

@@ -8,6 +8,7 @@
 //! (default `0,0.005,0.01,0.02,0.05`; include 0 to keep the fault-free
 //! baseline column). `--out DIR` writes `DIR/faults.json`.
 
+use wormcast_experiments::cli::usage_error;
 use wormcast_experiments::{faults, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
@@ -73,12 +74,6 @@ fn main() {
     prof.finish(&opts, &frames);
 }
 
-/// Print `msg` as a usage error and exit 2, before any simulation starts.
-fn reject(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
 /// Parse the binary-specific flags (`--rates CSV`, `--side N`) out of the
 /// leftover arguments. A rate outside [0, 1] and a side DB cannot plan on
 /// are usage errors (exit 2).
@@ -98,7 +93,7 @@ fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) {
                     "--rates must list at least one rate"
                 );
                 if let Some(bad) = params.rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
-                    reject(format!(
+                    usage_error(format!(
                         "`--rates` entry must be a probability in [0, 1], got {bad}"
                     ));
                 }
@@ -110,7 +105,7 @@ fn apply_rest(params: &mut faults::FaultsParams, rest: &[String]) {
                     .parse()
                     .expect("--side must be an integer");
                 if params.side < 2 {
-                    reject(format!(
+                    usage_error(format!(
                         "`--side` must be at least 2 (DB needs at least a 2x2 plane), got {}",
                         params.side
                     ));

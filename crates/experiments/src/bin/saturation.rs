@@ -8,6 +8,7 @@
 //! `--loads` takes a comma-separated, strictly increasing list of offered
 //! loads in messages/ms per node. `--out DIR` writes `DIR/saturation.json`.
 
+use wormcast_experiments::cli::usage_error;
 use wormcast_experiments::{saturation, telemetry, CommonOpts, Experiment, ProfileSession};
 
 fn main() {
@@ -79,24 +80,42 @@ fn main() {
 }
 
 /// Parse the binary-specific flag (`--loads CSV`) out of the leftover
-/// arguments.
+/// arguments. An unknown argument and a load list that is empty, not
+/// strictly increasing or holds an entry that is not a positive finite
+/// number are usage errors (exit 2).
 fn apply_rest(params: &mut saturation::SaturationParams, rest: &[String]) {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--loads" => {
-                let v = it.next().expect("--loads needs a comma-separated list");
+                let Some(v) = it.next() else {
+                    usage_error("`--loads` needs a comma-separated list")
+                };
                 params.loads = v
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().expect("--loads entries must be numbers"))
+                    .map(|s| match s.parse::<f64>() {
+                        Ok(l) if l.is_finite() && l > 0.0 => l,
+                        _ => usage_error(format!(
+                            "`--loads` entry must be a positive finite number, got {s:?}"
+                        )),
+                    })
                     .collect();
-                assert!(
-                    !params.loads.is_empty(),
-                    "--loads must list at least one load"
-                );
+                if params.loads.is_empty() {
+                    usage_error("`--loads` must list at least one load");
+                }
+                if let Some(w) = params.loads.windows(2).find(|w| w[0] >= w[1]) {
+                    usage_error(format!(
+                        "`--loads` must be strictly increasing, got {} then {}",
+                        w[0], w[1]
+                    ));
+                }
             }
-            other => panic!("unknown argument '{other}' (try --loads CSV)"),
+            other => usage_error(format!(
+                "unknown argument '{other}'; usage: saturation [--quick] [--out DIR] \
+                 [--seed N] [--ts US] [--length F] [--jobs N] [--loads CSV] \
+                 [--telemetry DIR] [--events PATH]"
+            )),
         }
     }
 }

@@ -196,8 +196,7 @@ impl CommonOpts {
     /// setup work runs.
     pub fn enforce_shards(&self, min_last_axis: u16, what: &str) {
         if let Err(e) = self.run.validate_shards(min_last_axis, what) {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+            usage_error(e);
         }
     }
 
@@ -292,6 +291,13 @@ impl CommonOpts {
         }
         o
     }
+}
+
+/// Print `msg` as a one-line usage error on stderr and exit with status 2,
+/// before any simulation starts.
+pub fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]

@@ -4,11 +4,15 @@
 //! Events are bucketed by time quantum (`bucket_width = 2^shift` ps) into a
 //! power-of-two ring of buckets anchored at the current clock tick; events
 //! beyond the ring horizon wait in a small overflow heap and migrate into
-//! the ring as the clock advances. Within a bucket, events are kept sorted
-//! by `(time, seq)` — the same total order as the binary-heap queue, where
-//! `seq` is the global insertion sequence number — so two events at the
-//! same instant still fire in the order they were scheduled and a run
-//! driven by the wheel is bit-identical to one driven by the heap.
+//! the ring as the clock advances. Within a bucket, every event is inserted
+//! at its `(time, seq)` position — the same total order as the binary-heap
+//! queue, where `seq` is the global insertion sequence number — so two
+//! events at the same instant still fire in the order they were scheduled
+//! and a run driven by the wheel is bit-identical to one driven by the
+//! heap. Most events sort last and append; the rest take a binary search
+//! and a shift. Insertion compares the full key, not the time alone: an
+//! event migrating in from the overflow heap can carry a lower `seq` than
+//! same-instant events scheduled straight into the ring after it.
 //!
 //! The anchoring invariant that makes the ring sound: every pending event's
 //! timestamp is `>= now` (scheduling into the past panics, and the clock
@@ -46,11 +50,10 @@ struct Slot<E> {
 }
 
 struct Bucket<E> {
+    /// Unfired items, `items[cursor..]`, are always in `(time, seq)` order.
     items: Vec<Slot<E>>,
     /// Items before the cursor have already fired.
     cursor: usize,
-    /// Whether `items[cursor..]` needs re-sorting before the next pop.
-    dirty: bool,
 }
 
 impl<E> Bucket<E> {
@@ -58,18 +61,6 @@ impl<E> Bucket<E> {
         Bucket {
             items: Vec::new(),
             cursor: 0,
-            dirty: false,
-        }
-    }
-
-    /// Sort the unfired tail into `(time, seq)` order if pushes disordered
-    /// it. Already-fired entries are untouched, so this never reorders the
-    /// past.
-    fn settle(&mut self) {
-        if self.dirty {
-            let cursor = self.cursor;
-            self.items[cursor..].sort_unstable_by_key(|s| (s.time, s.seq));
-            self.dirty = false;
         }
     }
 }
@@ -226,23 +217,26 @@ impl<E> CalendarWheel<E> {
     }
 
     /// Put an event into its ring bucket (its tick must be inside the
-    /// window `[tick(now), tick(now) + N)`).
+    /// window `[tick(now), tick(now) + N)`) at its `(time, seq)` position
+    /// among the unfired items.
     fn place(&mut self, at: SimTime, seq: u64, event: E) {
         let idx = ((at.0 >> self.shift) & self.mask) as usize;
         let bucket = &mut self.buckets[idx];
-        // An append keeps the tail sorted unless it lands before the
-        // current last item; seqs grow monotonically, so only an earlier
-        // *time* can disorder it.
-        if let Some(last) = bucket.items.last() {
-            if at < last.time {
-                bucket.dirty = true;
-            }
-        }
-        bucket.items.push(Slot {
+        let slot = Slot {
             time: at,
             seq,
             event: Some(event),
-        });
+        };
+        // A non-empty bucket's last item is unfired (a drained bucket is
+        // cleared), so sorting after it means sorting after every item.
+        match bucket.items.last() {
+            Some(last) if (at, seq) < (last.time, last.seq) => {
+                let tail = &bucket.items[bucket.cursor..];
+                let pos = bucket.cursor + tail.partition_point(|s| (s.time, s.seq) < (at, seq));
+                bucket.items.insert(pos, slot);
+            }
+            _ => bucket.items.push(slot),
+        }
         self.ring_len += 1;
         self.occupied.insert(idx);
     }
@@ -281,7 +275,6 @@ impl<E> CalendarWheel<E> {
         self.bucket_scans += 1;
         if let Some(idx) = self.earliest_bucket() {
             let bucket = &mut self.buckets[idx];
-            bucket.settle();
             let slot = &mut bucket.items[bucket.cursor];
             let (time, event) = (slot.time, slot.event.take().expect("unfired slot"));
             bucket.cursor += 1;
@@ -291,7 +284,6 @@ impl<E> CalendarWheel<E> {
             if bucket.cursor == bucket.items.len() {
                 bucket.items.clear();
                 bucket.cursor = 0;
-                bucket.dirty = false;
                 self.occupied.remove(idx);
             }
             return Some((time, event));
@@ -308,8 +300,7 @@ impl<E> CalendarWheel<E> {
         self.migrate_overflow();
         self.bucket_scans += 1;
         if let Some(idx) = self.earliest_bucket() {
-            let bucket = &mut self.buckets[idx];
-            bucket.settle();
+            let bucket = &self.buckets[idx];
             return Some(bucket.items[bucket.cursor].time);
         }
         self.overflow.peek().map(|o| o.time)
@@ -392,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn same_bucket_disorder_is_resorted() {
+    fn same_bucket_disorder_is_ordered_on_insert() {
         // Two events in one bucket scheduled out of time order.
         let mut q = CalendarWheel::with_geometry(10, 64); // 1024 ps buckets
         q.schedule(t(900), "b");
@@ -401,6 +392,26 @@ mod tests {
         assert_eq!(q.pop(), Some((t(100), "a")));
         assert_eq!(q.pop(), Some((t(900), "b")));
         assert_eq!(q.pop(), Some((t(901), "c")));
+    }
+
+    #[test]
+    fn overflow_migration_keeps_fifo_ties() {
+        // "A" waits in the overflow heap; after the clock advances, "C" is
+        // scheduled straight into the ring at the same instant. "A" migrates
+        // in behind it with the lower seq and must still fire first.
+        let mut q = CalendarWheel::with_geometry(4, 16); // horizon 256 ps
+        let mut heap = EventQueue::new();
+        for (at, ev) in [(300, "A"), (100, "B")] {
+            q.schedule(t(at), ev);
+            heap.schedule(t(at), ev);
+        }
+        assert_eq!(q.pop(), Some((t(100), "B")));
+        assert_eq!(heap.pop(), Some((t(100), "B")));
+        q.schedule(t(300), "C");
+        heap.schedule(t(300), "C");
+        assert_eq!(heap.pop(), Some((t(300), "A")));
+        assert_eq!(q.pop(), Some((t(300), "A")));
+        assert_eq!(q.pop(), Some((t(300), "C")));
     }
 
     #[test]
@@ -455,15 +466,17 @@ mod tests {
             let mut next_id = 0u64;
             for _round in 0..2_000 {
                 // Burst of schedules at mixed offsets: same-instant ties,
-                // in-bucket, near-future, far-future.
+                // in-bucket, near-future, far-future, and instants on a
+                // coarse absolute grid, so an event scheduled after a pop
+                // can tie one still waiting in the overflow heap.
                 for _ in 0..(rng.index(4) + 1) {
-                    let offset = match rng.index(4) {
-                        0 => 0,
-                        1 => rng.next_u64() % 16,
-                        2 => rng.next_u64() % 1_000,
-                        _ => rng.next_u64() % 100_000,
+                    let at = match rng.index(5) {
+                        0 => heap.now(),
+                        1 => heap.now() + SimDuration::from_ps(rng.next_u64() % 16),
+                        2 => heap.now() + SimDuration::from_ps(rng.next_u64() % 1_000),
+                        3 => heap.now() + SimDuration::from_ps(rng.next_u64() % 100_000),
+                        _ => on_grid(heap.now(), rng.next_u64() % 1_000),
                     };
-                    let at = heap.now() + SimDuration::from_ps(offset);
                     heap.schedule(at, next_id);
                     wheel.schedule(at, next_id);
                     next_id += 1;
@@ -474,7 +487,11 @@ mod tests {
                     assert_eq!(a, b, "seed {seed}");
                     assert_eq!(heap.now(), wheel.now());
                 }
-                assert_eq!(heap.peek_time(), wheel.peek_time(), "seed {seed}");
+                // Peek only now and then: a peek migrates the overflow,
+                // which would hide a pop -> schedule -> pop tie.
+                if rng.index(4) == 0 {
+                    assert_eq!(heap.peek_time(), wheel.peek_time(), "seed {seed}");
+                }
             }
             loop {
                 let a = heap.pop();
@@ -485,6 +502,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The first multiple of 64 ps at or after `now + off`: a coarse
+    /// absolute grid on which events scheduled at different clocks tie.
+    fn on_grid(now: SimTime, off: u64) -> SimTime {
+        t((now.0 + off).div_ceil(64) * 64)
     }
 
     #[test]
@@ -550,12 +573,14 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// Property form of the engine-swap contract: under arbitrary
-        /// schedule/pop interleavings — offsets spanning same-instant ties,
-        /// in-bucket, in-ring and past-horizon — the wheel's `(time, seq)`
-        /// order, clock and peeks all match the reference heap queue.
+        /// schedule/pop/peek interleavings — offsets spanning same-instant
+        /// ties, in-bucket, in-ring and past-horizon — the wheel's
+        /// `(time, seq)` order, clock and peeks all match the reference heap
+        /// queue. Peek is an op of its own, so `pop -> schedule -> pop` runs
+        /// with no overflow migration in between occur.
         #[test]
         fn wheel_matches_heap_on_arbitrary_interleavings(
-            ops in proptest::collection::vec((0u8..3, 0u64..2_000), 1usize..200),
+            ops in proptest::collection::vec((0u8..7, 0u64..2_000), 1usize..200),
         ) {
             use proptest::prelude::prop_assert_eq;
             // Tiny geometry: a 256-ps horizon forces constant overflow
@@ -564,17 +589,63 @@ mod tests {
             let mut wheel = CalendarWheel::with_geometry(4, 16);
             let mut next_id = 0u64;
             for (kind, off) in ops {
-                if kind < 2 {
-                    // Schedule (twice as likely as pop, so queues grow).
+                match kind {
+                    // Schedule (twice as likely as pop, so queues grow),
+                    // half the time on a grid where ties across clocks are
+                    // common.
+                    0..=3 => {
+                        let at = if kind < 2 {
+                            heap.now() + SimDuration::from_ps(off)
+                        } else {
+                            on_grid(heap.now(), off)
+                        };
+                        heap.schedule(at, next_id);
+                        wheel.schedule(at, next_id);
+                        next_id += 1;
+                    }
+                    4 | 5 => {
+                        prop_assert_eq!(heap.pop(), wheel.pop());
+                        prop_assert_eq!(heap.now(), wheel.now());
+                    }
+                    _ => prop_assert_eq!(heap.peek_time(), wheel.peek_time()),
+                }
+            }
+            loop {
+                let (a, b) = (heap.pop(), wheel.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// The engine's regime: default geometry, every offset inside one
+        /// bucket width (8192 ps), bursts of schedules between pops, so
+        /// buckets stay crowded and most schedules land mid-bucket.
+        #[test]
+        fn dense_buckets_match_heap(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec(0u64..8_192, 0usize..12), 0usize..6),
+                1usize..120,
+            ),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mut heap = EventQueue::new();
+            let mut wheel = CalendarWheel::new();
+            let mut next_id = 0u64;
+            for (burst, pops) in rounds {
+                for off in burst {
+                    // A quarter of the offsets collapse to a few ps, so
+                    // same-instant ties are common too.
+                    let off = if off % 4 == 0 { off % 8 } else { off };
                     let at = heap.now() + SimDuration::from_ps(off);
                     heap.schedule(at, next_id);
                     wheel.schedule(at, next_id);
                     next_id += 1;
-                } else {
-                    prop_assert_eq!(heap.pop(), wheel.pop());
-                    prop_assert_eq!(heap.now(), wheel.now());
                 }
-                prop_assert_eq!(heap.peek_time(), wheel.peek_time());
+                for _ in 0..pops {
+                    prop_assert_eq!(heap.pop(), wheel.pop());
+                }
             }
             loop {
                 let (a, b) = (heap.pop(), wheel.pop());
